@@ -30,7 +30,9 @@ test:
 # merges racing flushes), the DML delta overlay (lazy flush caching racing
 # concurrent readers), the segmented persistence layer, the SMO parser the
 # WAL replays through, the public facade (lock-free reads vs Exec, plus
-# the segmented-vs-rebuild property test), and the HTTP serving layer.
+# the segmented-storage property test against its row model), the HTTP
+# serving layer, and the HTAP workload driver. CI runs this target, so
+# this is the one list of race-checked packages.
 race:
 	$(GO) test -race cods cods/internal/par cods/internal/evolve \
 		cods/internal/wah cods/internal/colstore cods/internal/colquery \

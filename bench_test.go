@@ -677,15 +677,13 @@ func BenchmarkHarnessSmoke(b *testing.B) {
 // BenchmarkHugeTableSustainedWrites is the segmentation acceptance
 // benchmark: the same sustained keyed write stream as
 // BenchmarkSustainedKeyedWrites, but over a large pre-existing base
-// table, in two flush modes. "segmented" is the production write path —
-// an overlay flush seals only the appended tail into a new segment, so
-// per-statement cost must stay flat as the base grows. "rebuild" forces
-// the pre-segmentation monolithic flush (Config.RebuildOnFlush): every
-// auto-compaction rewrites the whole base, so cost grows linearly with
-// base size. Run with a fixed -benchtime=Nx so ns/op is comparable
-// across base sizes; scripts/bench_writes.sh records the series in
-// BENCH_writes.json. The 10M-row point is gated behind CODS_BENCH_HUGE=1
-// (it needs several GB of RAM).
+// table. An overlay flush seals only the appended tail into a new
+// segment, so per-statement cost must stay flat as the base grows. Run
+// with a fixed -benchtime=Nx so ns/op is comparable across base sizes;
+// scripts/bench_writes.sh records the series in BENCH_writes.json, where
+// the "segmented" sub-benchmark name becomes the entry's flush mode. The
+// 10M-row point is gated behind CODS_BENCH_HUGE=1 (it needs several GB of
+// RAM).
 func BenchmarkHugeTableSustainedWrites(b *testing.B) {
 	bases := []struct {
 		name string
@@ -701,43 +699,39 @@ func BenchmarkHugeTableSustainedWrites(b *testing.B) {
 		}{"base10M", 10_000_000})
 	}
 	for _, base := range bases {
-		for _, mode := range []string{"segmented", "rebuild"} {
-			b.Run(base.name+"/"+mode, func(b *testing.B) {
-				cfg := cods.Config{RetainVersions: 8, AutoCompactPending: 2048}
-				cfg.RebuildOnFlush = mode == "rebuild"
-				db := cods.Open(cfg)
-				// Build the base outside the timed region. Keys are
-				// non-integer ('k…') so key probes take the per-segment
-				// dictionary fast path, exactly like production keys.
-				tb := make([][]string, base.rows)
-				for i := range tb {
-					tb[i] = []string{fmt.Sprintf("k%08d", i), fmt.Sprintf("v%d", i%100)}
-				}
-				if err := db.CreateTableFromRows("kv", []string{"K", "V"}, []string{"K"}, tb); err != nil {
+		b.Run(base.name+"/segmented", func(b *testing.B) {
+			db := cods.Open(cods.Config{RetainVersions: 8, AutoCompactPending: 2048})
+			// Build the base outside the timed region. Keys are
+			// non-integer ('k…') so key probes take the per-segment
+			// dictionary fast path, exactly like production keys.
+			tb := make([][]string, base.rows)
+			for i := range tb {
+				tb[i] = []string{fmt.Sprintf("k%08d", i), fmt.Sprintf("v%d", i%100)}
+			}
+			if err := db.CreateTableFromRows("kv", []string{"K", "V"}, []string{"K"}, tb); err != nil {
+				b.Fatal(err)
+			}
+			tb = nil
+			// Collect the build garbage (and any previous sub-benchmark's
+			// heap) before timing: GC marking of a polluted multi-GB heap
+			// otherwise bleeds into ns/op and masks the flush cost being
+			// measured.
+			runtime.GC()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Exec(fmt.Sprintf("INSERT INTO kv VALUES ('n%08d', 'v')", i)); err != nil {
 					b.Fatal(err)
 				}
-				tb = nil
-				// Collect the build garbage (and any previous sub-benchmark's
-				// heap) before timing: GC marking of a polluted multi-GB heap
-				// otherwise bleeds into ns/op and masks the flush cost being
-				// measured.
-				runtime.GC()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := db.Exec(fmt.Sprintf("INSERT INTO kv VALUES ('n%08d', 'v')", i)); err != nil {
+				if i%100 == 99 {
+					if _, err := db.Exec(fmt.Sprintf("DELETE FROM kv WHERE K = 'n%08d'", i-50)); err != nil {
 						b.Fatal(err)
 					}
-					if i%100 == 99 {
-						if _, err := db.Exec(fmt.Sprintf("DELETE FROM kv WHERE K = 'n%08d'", i-50)); err != nil {
-							b.Fatal(err)
-						}
-					}
 				}
-				b.StopTimer()
-				ms := db.MemStats()
-				b.ReportMetric(float64(ms.Compactions), "flushes")
-			})
-		}
+			}
+			b.StopTimer()
+			ms := db.MemStats()
+			b.ReportMetric(float64(ms.Compactions), "flushes")
+		})
 	}
 }
 
@@ -816,24 +810,27 @@ func BenchmarkJoinDecomposedVsScan(b *testing.B) {
 }
 
 // BenchmarkEvolutionDecompose measures a schema evolution on a segmented
-// 1M-row table: 99% of the rows sit in one merged base segment and 1% in
-// a flushed tail, the steady state the tiered merge policy converges to.
-// Each iteration inserts one row (so the evolution always sees a fresh
-// table — no memoized stitching survives between iterations), runs
-// DECOMPOSE, and rolls back. "segmentwise" is the production map/merge
-// evolution path; "rebuild" forces the pre-segmentation monolithic
-// algorithms (Config.RebuildEvolve), which stitch every input column
-// before evolving. The gap between the two is the win the segment-wise
-// fan-out buys on evolution latency. Run with -benchtime=20x for the
-// BENCH_writes.json "evolution" series.
+// table of 100k and of 1M rows: 99% of the rows sit in one merged base
+// segment and 1% in a flushed tail, the steady state the tiered merge
+// policy converges to. Each iteration inserts one row (so the evolution
+// always sees a fresh table — no memoized stitching survives between
+// iterations), runs DECOMPOSE, and rolls back. Operators map over
+// segments and merge per-segment results, so cost tracks the
+// distinct-value and tail work, not the table size: ns/op should stay
+// flat from 100k to 1M rows. Run with -benchtime=100x for the
+// BENCH_writes.json "evolution" series, where the "segmentwise"
+// sub-benchmark name becomes the entry's evolution mode.
 func BenchmarkEvolutionDecompose(b *testing.B) {
-	const baseRows = 990_000
-	const tailRows = 10_000
-	for _, mode := range []string{"segmentwise", "rebuild"} {
-		b.Run(mode, func(b *testing.B) {
-			cfg := cods.Config{RetainVersions: 8, SegmentMergeRatio: -1}
-			cfg.RebuildEvolve = mode == "rebuild"
-			db := cods.Open(cfg)
+	for _, base := range []struct {
+		name string
+		rows int
+	}{
+		{"base100k", 100_000},
+		{"base1M", 1_000_000},
+	} {
+		b.Run(base.name+"/segmentwise", func(b *testing.B) {
+			baseRows, tailRows := base.rows*99/100, base.rows/100
+			db := cods.Open(cods.Config{RetainVersions: 8, SegmentMergeRatio: -1})
 			rows := make([][]string, baseRows)
 			for i := range rows {
 				g := i % 32

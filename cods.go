@@ -97,16 +97,6 @@ type Config struct {
 	// goroutine instead of inline on the write path. Merges publish
 	// through the usual atomic catalog swap, so readers never block.
 	BackgroundMerge bool
-	// RebuildOnFlush makes every overlay flush rebuild its table as one
-	// monolithic segment — the pre-segmentation write path, kept as a
-	// correctness oracle and benchmark baseline. Leave it off.
-	RebuildOnFlush bool
-	// RebuildEvolve makes every Schema Modification Operator run its
-	// pre-segmentation monolithic algorithm, stitching each input table
-	// into one segment before evolving it — kept as a correctness oracle
-	// and benchmark baseline for the segment-wise map/merge evolution
-	// path that is the default. Leave it off.
-	RebuildEvolve bool
 }
 
 // DB is a CODS database: a catalog of bitmap-indexed column-store tables
@@ -158,8 +148,6 @@ func Open(cfg Config) *DB {
 		AutoCompactPending: cfg.AutoCompactPending,
 		SegmentMergeRatio:  cfg.SegmentMergeRatio,
 		BackgroundMerge:    cfg.BackgroundMerge,
-		RebuildFlush:       cfg.RebuildOnFlush,
-		RebuildEvolve:      cfg.RebuildEvolve,
 	}), cfg: cfg}
 }
 

@@ -93,17 +93,15 @@
 // A base table is an ordered list of immutable segments behind a
 // manifest (internal/colstore), so a flush seals the appended tail into
 // one new small segment and rewrites only the segments deletions touch —
-// O(tail) work however large the table is, where the old monolithic
-// rebuild was O(table). A tiered merge policy folds small tail segments
-// together to keep the segment count logarithmic: Config.SegmentMergeRatio
-// tunes it (0 means the default ratio 2, negative disables merging) and
-// Config.BackgroundMerge moves the fold off the writer lock, splicing
-// the merged run back only if no concurrent change invalidated it.
-// Config.RebuildOnFlush restores the monolithic rebuild — kept as the
-// oracle for the segmented-vs-rebuild property test and as the
-// superlinear baseline in the huge-table write benchmark. Durable
-// catalogs persist one directory per segment and cross-check the
-// manifest's row counts on load.
+// O(tail) work however large the table is. A flush never changes a
+// table's row sequence: surviving base rows stay in base order, appended
+// rows follow in insertion order. A tiered merge policy folds small tail
+// segments together to keep the segment count logarithmic:
+// Config.SegmentMergeRatio tunes it (0 means the default ratio 2,
+// negative disables merging) and Config.BackgroundMerge moves the fold
+// off the writer lock, splicing the merged run back only if no concurrent
+// change invalidated it. Durable catalogs persist one directory per
+// segment and cross-check the manifest's row counts on load.
 //
 // # Segment-wise evolution
 //
@@ -117,11 +115,11 @@
 // deduplicated DECOMPOSE side packs each segment's surviving rows into a
 // segment of its own. Outputs feed back into the tiered merge policy,
 // and MemStats reports the per-table segment layout plus the running
-// merge count. Config.RebuildEvolve forces the pre-segmentation
-// monolithic algorithms instead — like RebuildOnFlush, an oracle (the
-// property test requires byte-identical tables from both paths) and the
-// baseline the evolution benchmark measures the segment-wise win
-// against. Leave both off in production.
+// merge count. On a one-segment table each operator is the paper's
+// algorithm itself (distinction, bitmap filtering, OR combination). The
+// tests check the operators against references that share no code with
+// them: the query-level path in internal/queryevolve, and a model of
+// ordered rows in the root package's property test.
 //
 // # Bounded memory: retention and auto-compaction
 //

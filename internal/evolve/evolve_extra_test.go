@@ -129,8 +129,8 @@ func TestMergeKeyFKRLEInput(t *testing.T) {
 
 func TestDecomposeKeyColumnSharesDictionary(t *testing.T) {
 	// The deduplicated output's key column must carry every source key
-	// value with exactly one row (the fast path that shares the source
-	// dictionary).
+	// value with exactly one row (the key-column fast path, which builds
+	// single-bit vectors instead of filtering).
 	rng := rand.New(rand.NewSource(23))
 	var rows [][]string
 	cOf := map[string]string{}

@@ -7,20 +7,20 @@
 // Every algorithm consumes and produces colstore tables whose columns are
 // WAH bitmap indexes. No algorithm materializes query results as tuples
 // and none rebuilds an index from scratch: outputs are assembled by
-// compressed-form operations (filter, OR, concatenation, fill-run
-// construction) on the inputs' bitmaps.
+// compressed-form operations (filter, OR, fill-run construction) on the
+// inputs' bitmaps, or share the inputs' immutable segments outright.
 //
-// Since the base storage became a list of immutable segments, every
-// operator runs segment-wise by default: a map phase works on one
-// segment's local dictionaries and bitmaps (distinction, bitmap
-// filtering, join-group builds) and a merge phase combines the
-// per-segment results (global dictionary union with id remapping via
+// Base storage is a list of immutable segments, and every operator runs
+// segment-wise: a map phase works on one segment's local dictionaries and
+// bitmaps (distinction, bitmap filtering, join-group builds) and a merge
+// phase combines the per-segment results (global dictionary union with id remapping via
 // colstore's RemapInto kernel, offset restitching of row positions,
 // FD/key re-validation across segment boundaries). Operators emit one
 // output segment per contributing input segment, so evolution cost is
 // proportional to the segments that actually change, not the logical row
-// count. The pre-segmentation monolithic implementations are retained
-// behind Options.Rebuild as the correctness oracle.
+// count. On a one-segment table the map phase is the paper's algorithm
+// itself. The operators are checked against the query-level path in
+// package queryevolve, which shares no code with them.
 package evolve
 
 import (
@@ -40,12 +40,6 @@ type Options struct {
 	// dependency key → non-key in the input) and fail on violations
 	// instead of silently producing a lossy decomposition.
 	ValidateFD bool
-	// Rebuild forces the pre-segmentation monolithic algorithms: each
-	// operator consumes one stitched whole-table view and emits a
-	// single-segment output. Kept as the correctness oracle for the
-	// segment-wise default (core.Config.RebuildEvolve sets it, mirroring
-	// RebuildFlush on the write path).
-	Rebuild bool
 }
 
 func (o Options) trace(step string) {

@@ -11,8 +11,8 @@ import (
 // This file holds the shared plumbing of segment-wise evolution: helpers
 // that replace a whole-table bitmap stitch with a per-segment map phase
 // plus a dictionary-union merge phase (colstore's RemapInto kernel). Each
-// operator's own map/merge split lives next to its monolithic oracle in
-// decompose.go, merge.go and generalmerge.go.
+// operator's own map/merge split lives in decompose.go, merge.go and
+// generalmerge.go.
 
 // segmentOffsets returns the starting global row of each segment.
 func segmentOffsets(segs []*colstore.Segment) []uint64 {
@@ -56,12 +56,12 @@ func rowIDsRemapped(t *colstore.Table, cn string, opt Options) ([]uint32, *dict.
 	return out, d, nil
 }
 
-// keyedBySegmented reports whether the given columns form a candidate key
-// of t without stitching: a single attribute is a key iff the
+// keyedBy reports whether the given columns form a candidate key of t
+// without stitching: a single attribute is a key iff the
 // cross-segment dictionary union (RemapInto, O(distinct) per segment) has
 // exactly one value per row; composite keys build the value index with a
 // duplicate check.
-func keyedBySegmented(t *colstore.Table, columns []string) bool {
+func keyedBy(t *colstore.Table, columns []string) bool {
 	if len(columns) == 1 {
 		d := dict.New()
 		for _, s := range t.Segments() {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -861,6 +862,37 @@ func TestHistoryEndpoint(t *testing.T) {
 	for _, bad := range []string{"0", "-3", "x"} {
 		if resp := getJSON(t, ts.URL+"/history?limit="+bad, nil); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("limit=%s status = %d, want 400", bad, resp.StatusCode)
+		}
+	}
+}
+
+// TestOversizeBodyIs413: a body one byte over the limit is refused with
+// 413 and a JSON error on both POST endpoints; malformed bodies under
+// the limit stay 400.
+func TestOversizeBodyIs413(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	prefix, suffix := `{"op": "`, `"}`
+	big := prefix + strings.Repeat("a", maxBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	for _, path := range []string{"/exec", "/query"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		decErr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || decErr != nil || body["error"] == nil {
+			t.Fatalf("%s: oversize body got %d %v (%v), want 413 with a JSON error", path, resp.StatusCode, body, decErr)
+		}
+		for _, small := range []string{`{"op": `, `{"op": "x"} trailing`} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(small))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s: malformed body %q got %d, want 400", path, small, resp.StatusCode)
+			}
 		}
 	}
 }

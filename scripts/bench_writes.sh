@@ -1,25 +1,29 @@
 #!/bin/sh
 # Write-path benchmarks -> BENCH_writes.json.
 #
-# Two series, both at a fixed statement count so ns/op is comparable
-# across runs and PRs:
+# Three series, each at a fixed statement or iteration count so ns/op is
+# comparable across runs:
 #
 #  - "sustained-keyed": BenchmarkSustainedKeyedWrites (50000 statements by
 #    default, override with BENCH_WRITES_N) — the overlay write path per
 #    retention configuration.
 #  - "huge-table": BenchmarkHugeTableSustainedWrites (20000 statements by
 #    default, override with BENCH_HUGE_N) — the same stream over 100k and
-#    1M base rows in segmented vs rebuild flush mode, the flat-vs-linear
-#    evidence for the segmented base storage. Set CODS_BENCH_HUGE=1 to add
-#    the 10M-row point (needs several GB of RAM).
-#  - "evolution": BenchmarkEvolutionDecompose (20 iterations by default,
-#    override with BENCH_EVOLVE_N) — DECOMPOSE on a segmented 1M-row
-#    table (99% merged base, 1% tail), segment-wise map/merge evolution
-#    vs the monolithic rebuild oracle (RebuildEvolve).
+#    1M base rows, the flat-cost evidence for the segmented base storage.
+#    Set CODS_BENCH_HUGE=1 to add the 10M-row point (needs several GB of
+#    RAM).
+#  - "evolution": BenchmarkEvolutionDecompose (100 iterations by default,
+#    override with BENCH_EVOLVE_N) — DECOMPOSE on a segmented table of
+#    100k and 1M rows (99% merged base, 1% tail).
+#
+# Entries with "mode": "rebuild" are carried over from the previous file
+# unchanged: they are the historical record of the monolithic flush and
+# evolution baselines, which no longer exist to be rerun.
 set -e
 n=${BENCH_WRITES_N:-50000}
 hn=${BENCH_HUGE_N:-20000}
-en=${BENCH_EVOLVE_N:-20}
+en=${BENCH_EVOLVE_N:-100}
+history=$(grep '"mode": "rebuild"' BENCH_writes.json 2>/dev/null | sed 's/,$//' || true)
 out=$(go test -run=NONE -bench=SustainedKeyedWrites -benchtime="${n}x" cods)
 echo "$out"
 hout=$(go test -run=NONE -bench=HugeTableSustainedWrites -benchtime="${hn}x" cods)
@@ -38,29 +42,28 @@ echo "$eout"
 	  }
 	  BEGIN { printf "[" }
 	'
-	echo "$hout" | awk '
-	  $1 ~ /^BenchmarkHugeTableSustainedWrites\// {
+	# Both series name their sub-benchmarks base<size>/<mode>.
+	based='
+	  function entry(bench, count) {
 	    split($1, parts, "/")
 	    sub(/-[0-9]+$/, "", parts[3])
-	    base = parts[2]
-	    sub(/^base/, "", base)
-	    rows = base
+	    rows = parts[2]
+	    sub(/^base/, "", rows)
 	    sub(/k$/, "000", rows)
 	    sub(/M$/, "000000", rows)
-	    printf ",\n  {\"bench\": \"huge-table\", \"base_rows\": %s, \"mode\": \"%s\", \"statements\": %s, \"ns_per_op\": %s", rows, parts[3], $2, $3
+	    printf ",\n  {\"bench\": \"%s\", \"base_rows\": %s, \"mode\": \"%s\", \"%s\": %s, \"ns_per_op\": %s", bench, rows, parts[3], count, $2, $3
 	    for (i = 5; i + 1 <= NF; i += 2) printf ", \"%s\": %s", $(i + 1), $i
 	    printf "}"
-	  }
+	  }'
+	echo "$hout" | awk "$based"'
+	  $1 ~ /^BenchmarkHugeTableSustainedWrites\// { entry("huge-table", "statements") }
 	'
-	echo "$eout" | awk '
-	  $1 ~ /^BenchmarkEvolutionDecompose\// {
-	    split($1, parts, "/")
-	    sub(/-[0-9]+$/, "", parts[2])
-	    printf ",\n  {\"bench\": \"evolution\", \"base_rows\": 1000000, \"mode\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", parts[2], $2, $3
-	    for (i = 5; i + 1 <= NF; i += 2) printf ", \"%s\": %s", $(i + 1), $i
-	    printf "}"
-	  }
+	echo "$eout" | awk "$based"'
+	  $1 ~ /^BenchmarkEvolutionDecompose\// { entry("evolution", "iterations") }
 	'
+	if [ -n "$history" ]; then
+		echo "$history" | awk '{ printf ",\n%s", $0 }'
+	fi
 	printf "\n]\n"
 } > BENCH_writes.json
 echo "wrote BENCH_writes.json"
