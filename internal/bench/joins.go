@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"cods/internal/colquery"
@@ -64,6 +65,24 @@ type JoinResult struct {
 	// "join-semi" (hash join with the WAH semi-join reduction), and
 	// "join-generic" (hash join with the reduction disabled).
 	Modes map[string]JoinModeRun `json:"modes"`
+	// Host records the machine the run measured, so entries from
+	// different machines are not read as a trajectory.
+	Host Host `json:"host"`
+}
+
+// Host is the machine a benchmark run measured.
+type Host struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+	Platform   string `json:"platform"` // GOOS/GOARCH
+}
+
+func currentHost() Host {
+	return Host{
+		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
+		GoVersion: runtime.Version(), Platform: runtime.GOOS + "/" + runtime.GOARCH,
+	}
 }
 
 // RunJoins builds the workload, decomposes it, and times the query
@@ -101,7 +120,7 @@ func RunJoins(cfg JoinConfig) (*JoinResult, error) {
 	res := &JoinResult{
 		Bench: "join-decomposed-vs-scan", FactRows: cfg.FactRows, DimRows: cfg.DimRows,
 		Parallelism: cfg.Parallelism, Seed: cfg.Seed,
-		Modes: make(map[string]JoinModeRun),
+		Modes: make(map[string]JoinModeRun), Host: currentHost(),
 	}
 	sKey, err := dec.S.Column("A")
 	if err != nil {

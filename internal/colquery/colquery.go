@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
-	"strings"
 
 	"cods/internal/colstore"
 	"cods/internal/expr"
@@ -138,9 +137,9 @@ func whereMask(t *colstore.Table, where string, parallelism int) (*wah.Bitmap, e
 	return pred.EvalP(t, parallelism)
 }
 
-// resolveAggColumns bitmap-encodes each aggregated column once up front, so
-// per-group aggregation never repeats the (potentially O(rows), for RLE
-// columns) conversion inside a fan-out.
+// resolveAggColumns resolves each aggregated column once up front, so
+// per-group aggregation never repeats the lookup (and, on a multi-segment
+// table, the stitch) inside a fan-out.
 func resolveAggColumns(t *colstore.Table, aggs []Agg) (map[string]*colstore.Column, error) {
 	cols := make(map[string]*colstore.Column)
 	for _, a := range aggs {
@@ -151,7 +150,7 @@ func resolveAggColumns(t *colstore.Table, aggs []Agg) (map[string]*colstore.Colu
 		if err != nil {
 			return nil, err
 		}
-		cols[a.Column] = col.ToBitmapEncoding()
+		cols[a.Column] = col
 	}
 	return cols, nil
 }
@@ -183,11 +182,10 @@ func runAggregates(t *colstore.Table, q Query, mask *wah.Bitmap) (*ResultSet, er
 // Groups compute in parallel and assemble in dictionary id order, so output
 // order does not depend on scheduling.
 func runGrouped(t *colstore.Table, q Query, mask *wah.Bitmap) (*ResultSet, error) {
-	gcol, err := t.Column(q.GroupBy)
+	gb, err := t.Column(q.GroupBy)
 	if err != nil {
 		return nil, err
 	}
-	gb := gcol.ToBitmapEncoding()
 	cols, err := resolveAggColumns(t, q.Aggregates)
 	if err != nil {
 		return nil, err
@@ -336,37 +334,4 @@ func aggregate(bc *colstore.Column, a Agg, mask *wah.Bitmap, parallelism int) (s
 // ("9" < "10" < "10x" < "9"), leaving sort results undefined.
 func valueLess(a, b string) bool {
 	return expr.Compare(a, b) < 0
-}
-
-// Explain renders a human-readable description of how a query will
-// execute — which parts run per distinct value on compressed bitmaps.
-func Explain(t *colstore.Table, q Query) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "scan %s (%d rows)\n", t.Name(), t.NumRows())
-	if q.Where != "" {
-		fmt.Fprintf(&sb, "  where %s  -- bitmap-index scan, once per distinct value\n", q.Where)
-	}
-	if q.GroupBy != "" {
-		gcol, err := t.Column(q.GroupBy)
-		if err == nil {
-			fmt.Fprintf(&sb, "  group by %s  -- %d compressed AND+popcount groups\n", q.GroupBy, gcol.DistinctCount())
-		}
-	}
-	for _, a := range q.Aggregates {
-		if a.Func == Count {
-			fmt.Fprintf(&sb, "  %s  -- popcount only, no row access\n", a.name())
-		} else {
-			fmt.Fprintf(&sb, "  %s  -- per distinct value of %s\n", a.name(), a.Column)
-		}
-	}
-	if len(q.Aggregates) == 0 {
-		fmt.Fprintf(&sb, "  project %v  -- bitmap filtering\n", q.Select)
-	}
-	if q.OrderBy != "" {
-		fmt.Fprintf(&sb, "  order by %s desc=%v\n", q.OrderBy, q.Desc)
-	}
-	if q.Limit > 0 {
-		fmt.Fprintf(&sb, "  limit %d\n", q.Limit)
-	}
-	return sb.String()
 }

@@ -58,34 +58,41 @@ func Collect(op Operator) (*ResultSet, error) {
 // with an optional pre-computed predicate bitmap. Each segment yields one
 // batch: the mask is sliced along segment boundaries, segments with no
 // selected rows are skipped without any data operation, and only the
-// projected columns are bitmap-filtered and decoded.
+// projected columns are gathered at the selected positions.
 type TableScan struct {
-	t           *colstore.Table
-	cols        []string
-	mask        *wah.Bitmap
-	parallelism int
+	cols []string
+	idx  []int // schema position of each projected column
+	mask *wah.Bitmap
 
 	segs    []*colstore.Segment
 	offsets []uint64
 	seg     int
 }
 
-// NewTableScan returns a scan of t projecting cols (empty = all columns)
-// over the rows selected by mask (nil = all rows, otherwise mask must
-// have t's row count).
+// NewTableScan returns a scan of t projecting cols (empty = all columns,
+// a repeated name repeats the column) over the rows selected by mask (nil
+// = all rows, otherwise mask must have t's row count). parallelism is
+// ignored: each segment's gather runs serially.
 func NewTableScan(t *colstore.Table, cols []string, mask *wah.Bitmap, parallelism int) (*TableScan, error) {
 	if len(cols) == 0 {
 		cols = t.ColumnNames()
 	}
-	for _, c := range cols {
-		if !t.HasColumn(c) {
+	pos := columnIndex(t.ColumnNames())
+	idx := make([]int, len(cols))
+	for i, c := range cols {
+		p, ok := pos[c]
+		if !ok {
 			return nil, fmt.Errorf("colstore: table %q has no column %q", t.Name(), c)
 		}
+		idx[i] = p
 	}
-	if mask != nil && mask.Len() != t.NumRows() {
+	if mask == nil {
+		mask = wah.New()
+		mask.AppendRun(1, t.NumRows())
+	} else if mask.Len() != t.NumRows() {
 		return nil, fmt.Errorf("colquery: scan mask has %d bits, table %q has %d rows", mask.Len(), t.Name(), t.NumRows())
 	}
-	ts := &TableScan{t: t, cols: append([]string(nil), cols...), mask: mask, parallelism: parallelism}
+	ts := &TableScan{cols: append([]string(nil), cols...), idx: idx, mask: mask}
 	ts.segs = t.Segments()
 	ts.offsets = make([]uint64, len(ts.segs))
 	var off uint64
@@ -110,61 +117,14 @@ func (ts *TableScan) Next() ([][]string, error) {
 	for ts.seg < len(ts.segs) {
 		s, off := ts.segs[ts.seg], ts.offsets[ts.seg]
 		ts.seg++
-		// Project before filtering: bitmap filtering costs one compressed
-		// Filter per distinct value per column, so unprojected columns
-		// must not pay it.
-		proj, err := projectSegment(s, ts.cols)
-		if err != nil {
-			return nil, err
-		}
-		if ts.mask != nil {
-			sub := ts.mask.Slice(off, off+s.NumRows())
-			if !sub.Any() {
-				continue
-			}
-			if proj, err = proj.Filter(sub, ts.parallelism); err != nil {
-				return nil, err
-			}
-		}
-		if proj.NumRows() == 0 {
+		sub := ts.mask.Slice(off, off+s.NumRows())
+		positions := sub.AppendPositionsTo(make([]uint64, 0, sub.Count()))
+		if len(positions) == 0 {
 			continue
 		}
-		batch := make([][]string, proj.NumRows())
-		for r := range batch {
-			batch[r] = make([]string, len(ts.cols))
-		}
-		for j := range ts.cols {
-			col := proj.ColumnAt(j)
-			ids := col.RowIDRange(0, proj.NumRows())
-			d := col.Dict()
-			for r, id := range ids {
-				batch[r][j] = d.Value(id)
-			}
-		}
-		return batch, nil
+		return s.Gather(positions, ts.idx), nil
 	}
 	return nil, nil
-}
-
-// projectSegment assembles a segment holding the named columns of s, in
-// order, sharing column data. A repeated name shares the same column.
-func projectSegment(s *colstore.Segment, cols []string) (*colstore.Segment, error) {
-	picked := make([]*colstore.Column, len(cols))
-	for i, name := range cols {
-		c, err := s.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		picked[i] = c
-		for j := 0; j < i; j++ {
-			if cols[j] == name {
-				// NewSegment rejects duplicate names; alias the repeat so
-				// SELECT a, a still projects (values are shared either way).
-				picked[i] = c.Renamed(fmt.Sprintf("%s#%d", name, i))
-			}
-		}
-	}
-	return colstore.NewSegment(picked)
 }
 
 // RowFilter keeps the input rows satisfying a row-wise predicate. It is
@@ -394,16 +354,14 @@ func sameDict(a, b *dict.Dict) bool {
 // the columns share dictionary lineage), and one compressed OR fan-in
 // over the matching fact bitmaps. No row is ever decoded.
 func SemiJoinMask(fact, dim *colstore.Column, dimMask *wah.Bitmap, parallelism int) *wah.Bitmap {
-	fb := fact.ToBitmapEncoding()
-	db := dim.ToBitmapEncoding()
-	occupied := par.Map(db.DistinctCount(), parallelism, func(id int) bool {
-		bm := db.BitmapForID(uint32(id))
+	occupied := par.Map(dim.DistinctCount(), parallelism, func(id int) bool {
+		bm := dim.BitmapForID(uint32(id))
 		if dimMask != nil {
 			return wah.And(bm, dimMask).Any()
 		}
 		return bm.Any()
 	})
-	shared := sameDict(fb.Dict(), db.Dict())
+	shared := sameDict(fact.Dict(), dim.Dict())
 	var maps []*wah.Bitmap
 	for id, occ := range occupied {
 		if !occ {
@@ -411,12 +369,12 @@ func SemiJoinMask(fact, dim *colstore.Column, dimMask *wah.Bitmap, parallelism i
 		}
 		fid := uint32(id)
 		if !shared {
-			fid = fb.Dict().Lookup(db.Dict().Value(uint32(id)))
+			fid = fact.Dict().Lookup(dim.Dict().Value(uint32(id)))
 			if fid == dict.NoID {
 				continue
 			}
 		}
-		maps = append(maps, fb.BitmapForID(fid))
+		maps = append(maps, fact.BitmapForID(fid))
 	}
 	if len(maps) == 0 {
 		out := wah.New()

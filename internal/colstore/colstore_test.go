@@ -4,11 +4,23 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"cods/internal/wah"
 )
+
+// figure1Rows are the rows of the paper's Figure 1 table R.
+var figure1Rows = [][]string{
+	{"Jones", "Typing", "425 Grant Ave"},
+	{"Jones", "Shorthand", "425 Grant Ave"},
+	{"Roberts", "Light Cleaning", "747 Industrial Way"},
+	{"Ellis", "Alchemy", "747 Industrial Way"},
+	{"Jones", "Whittling", "425 Grant Ave"},
+	{"Ellis", "Juggling", "747 Industrial Way"},
+	{"Harrison", "Light Cleaning", "425 Grant Ave"},
+}
 
 // figure1R returns the paper's Figure 1 table R.
 func figure1R(t *testing.T) *Table {
@@ -17,16 +29,7 @@ func figure1R(t *testing.T) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := [][]string{
-		{"Jones", "Typing", "425 Grant Ave"},
-		{"Jones", "Shorthand", "425 Grant Ave"},
-		{"Roberts", "Light Cleaning", "747 Industrial Way"},
-		{"Ellis", "Alchemy", "747 Industrial Way"},
-		{"Jones", "Whittling", "425 Grant Ave"},
-		{"Ellis", "Juggling", "747 Industrial Way"},
-		{"Harrison", "Light Cleaning", "425 Grant Ave"},
-	}
-	for _, r := range rows {
+	for _, r := range figure1Rows {
 		if err := tb.AppendRow(r); err != nil {
 			t.Fatal(err)
 		}
@@ -56,16 +59,14 @@ func TestBuildAndReadBack(t *testing.T) {
 	if rows[6][0] != "Harrison" || rows[6][2] != "425 Grant Ave" {
 		t.Fatalf("row 6 = %v", rows[6])
 	}
-	// Single row access agrees with bulk access.
+	// One-row pages read back exactly the rows the builder was given.
 	for i := uint64(0); i < tab.NumRows(); i++ {
-		row, err := tab.Row(i)
+		page, err := tab.Rows(i, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for c := range row {
-			if row[c] != rows[i][c] {
-				t.Fatalf("Row(%d)[%d]=%q, Rows gave %q", i, c, row[c], rows[i][c])
-			}
+		if len(page) != 1 || !reflect.DeepEqual(page[0], figure1Rows[i]) {
+			t.Fatalf("Rows(%d, 1) = %v, want [%v]", i, page, figure1Rows[i])
 		}
 	}
 }
@@ -104,9 +105,9 @@ func TestEqScanAndScanWhere(t *testing.T) {
 		t.Fatalf("EqScan count=%d want 4", grant.Count())
 	}
 	skill, _ := tab.Column("Skill")
-	cleaning := skill.ScanWhere(func(v string) bool { return v == "Light Cleaning" })
+	cleaning := skill.ScanWhereP(func(v string) bool { return v == "Light Cleaning" }, 1)
 	if cleaning.Count() != 2 {
-		t.Fatalf("ScanWhere count=%d want 2", cleaning.Count())
+		t.Fatalf("ScanWhereP count=%d want 2", cleaning.Count())
 	}
 	// AND across columns: cleaners at Grant Ave.
 	both := wah.And(grant, cleaning)
@@ -119,53 +120,14 @@ func TestEqScanAndScanWhere(t *testing.T) {
 	}
 }
 
-func TestRangeScan(t *testing.T) {
-	col := NewColumnFromValues("Age", []string{"30", "25", "41", "7", "30", "100"})
-	cases := []struct {
-		lo, hi string
-		want   uint64
-	}{
-		{"", "", 6},       // unbounded
-		{"25", "30", 3},   // 25, 30, 30 (numeric)
-		{"7", "7", 1},     // point
-		{"8", "24", 0},    // empty numeric gap
-		{"", "30", 4},     // 7, 25, 30, 30
-		{"41", "", 2},     // 41, 100
-		{"200", "300", 0}, // above all
-	}
-	for _, c := range cases {
-		got := col.RangeScan(c.lo, c.hi)
-		if got.Len() != 6 {
-			t.Fatalf("[%s,%s]: bitmap len=%d", c.lo, c.hi, got.Len())
-		}
-		if got.Count() != c.want {
-			t.Errorf("[%s,%s]: count=%d want %d", c.lo, c.hi, got.Count(), c.want)
-		}
-	}
-	// Lexicographic for non-numeric values.
-	names := NewColumnFromValues("N", []string{"bob", "ann", "carol", "dave"})
-	if got := names.RangeScan("b", "cz").Count(); got != 2 {
-		t.Errorf("lexicographic range: count=%d want 2", got)
-	}
-	// RLE columns take the same path via conversion.
-	rl := NewRLEColumn("S", []string{"10", "10", "20", "30"})
-	if got := rl.RangeScan("10", "20").Count(); got != 3 {
-		t.Errorf("rle range: count=%d want 3", got)
-	}
-}
-
 func TestRowIDsMatchValues(t *testing.T) {
 	tab := figure1R(t)
-	for _, name := range tab.ColumnNames() {
+	for c, name := range tab.ColumnNames() {
 		col, _ := tab.Column(name)
 		ids := col.RowIDs()
-		for i := uint64(0); i < col.NumRows(); i++ {
-			want, err := col.ValueAt(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := col.Dict().Value(ids[i]); got != want {
-				t.Fatalf("column %s row %d: RowIDs gives %q, ValueAt gives %q", name, i, got, want)
+		for i, row := range figure1Rows {
+			if got := col.Dict().Value(ids[i]); got != row[c] {
+				t.Fatalf("column %s row %d: RowIDs gives %q, built with %q", name, i, got, row[c])
 			}
 		}
 	}
@@ -244,7 +206,7 @@ func TestFilterRows(t *testing.T) {
 	// Keep rows of employees at 747 Industrial Way.
 	addr, _ := tab.Column("Address")
 	mask := addr.EqScan("747 Industrial Way")
-	ft, err := tab.FilterRows("F", mask)
+	ft, err := tab.FilterRowsP("F", mask, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +228,7 @@ func TestFilterRows(t *testing.T) {
 	}
 	short := wah.New()
 	short.Extend(3)
-	if _, err := tab.FilterRows("F", short); err == nil {
+	if _, err := tab.FilterRowsP("F", short, 1); err == nil {
 		t.Fatal("mask length mismatch should fail")
 	}
 }
@@ -310,36 +272,6 @@ func TestValidateKey(t *testing.T) {
 	}
 }
 
-func TestRLEConversionRoundTrip(t *testing.T) {
-	values := []string{"a", "a", "a", "b", "b", "c", "a", "a"}
-	bm := NewColumnFromValues("X", values)
-	rl := bm.ToRLEEncoding()
-	if rl.Encoding() != EncodingRLE {
-		t.Fatal("not RLE encoded")
-	}
-	back := rl.ToBitmapEncoding()
-	for i := range values {
-		v1, _ := rl.ValueAt(uint64(i))
-		v2, _ := back.ValueAt(uint64(i))
-		if v1 != values[i] || v2 != values[i] {
-			t.Fatalf("row %d: rle=%q bitmap=%q want %q", i, v1, v2, values[i])
-		}
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// EqScan agrees across encodings.
-	if !wah.Equal(rl.EqScan("a"), bm.EqScan("a")) {
-		t.Fatal("EqScan differs between encodings")
-	}
-	if !wah.Equal(rl.ScanWhere(func(v string) bool { return v >= "b" }), bm.ScanWhere(func(v string) bool { return v >= "b" })) {
-		t.Fatal("ScanWhere differs between encodings")
-	}
-}
-
 func TestColumnBuilderWithDict(t *testing.T) {
 	src := NewColumnFromValues("X", []string{"p", "q", "p", "r"})
 	b := NewColumnBuilderWithDict("Y", src.Dict())
@@ -349,12 +281,11 @@ func TestColumnBuilderWithDict(t *testing.T) {
 	if col.NumRows() != 5 {
 		t.Fatalf("rows=%d", col.NumRows())
 	}
-	v, _ := col.ValueAt(0)
-	if v != "q" {
+	ids := col.RowIDs()
+	if v := col.Dict().Value(ids[0]); v != "q" {
 		t.Fatalf("row 0 = %q", v)
 	}
-	v, _ = col.ValueAt(4)
-	if v != "p" {
+	if v := col.Dict().Value(ids[4]); v != "p" {
 		t.Fatalf("row 4 = %q", v)
 	}
 	// "r" never appended: dropped from the finished dictionary.
@@ -447,7 +378,7 @@ func TestQuickFilterRowsPreservesContent(t *testing.T) {
 				mask.AppendBit(0)
 			}
 		}
-		ft, err := tab.FilterRows("F", mask)
+		ft, err := tab.FilterRowsP("F", mask, 1)
 		if err != nil || ft.Validate() != nil {
 			return false
 		}
@@ -508,59 +439,25 @@ func TestRowsHugeLimit(t *testing.T) {
 	}
 }
 
-// TestRowIDRange checks the paged decode against the full decode on both
-// encodings, including empty and clamped ranges.
-func TestRowIDRange(t *testing.T) {
+// TestRowsPagesMatchInput reads every page [offset, offset+limit) of the
+// Figure 1 table, including empty, clamped and past-the-end pages, and
+// compares it with the rows the builder was given.
+func TestRowsPagesMatchInput(t *testing.T) {
 	tab := figure1R(t)
-	for _, enc := range []string{"bitmap", "rle"} {
-		for i := 0; i < tab.NumColumns(); i++ {
-			col := tab.ColumnAt(i)
-			if enc == "rle" {
-				col = col.ToRLEEncoding()
+	n := uint64(len(figure1Rows))
+	for offset := uint64(0); offset <= n+1; offset++ {
+		for limit := uint64(0); limit <= n+2; limit++ {
+			got, err := tab.Rows(offset, limit)
+			if err != nil {
+				t.Fatal(err)
 			}
-			full := col.RowIDs()
-			n := col.NumRows()
-			for start := uint64(0); start <= n; start++ {
-				for end := start; end <= n+2; end++ {
-					got := col.RowIDRange(start, end)
-					wantEnd := end
-					if wantEnd > n {
-						wantEnd = n
-					}
-					if start >= wantEnd {
-						if len(got) != 0 {
-							t.Fatalf("%s %q [%d,%d): got %d ids, want 0", enc, col.Name(), start, end, len(got))
-						}
-						continue
-					}
-					if uint64(len(got)) != wantEnd-start {
-						t.Fatalf("%s %q [%d,%d): got %d ids, want %d", enc, col.Name(), start, end, len(got), wantEnd-start)
-					}
-					for j, id := range got {
-						if id != full[start+uint64(j)] {
-							t.Fatalf("%s %q [%d,%d): id[%d] = %d, want %d", enc, col.Name(), start, end, j, id, full[start+uint64(j)])
-						}
-					}
-				}
+			start, end := min(offset, n), n
+			if limit > 0 {
+				end = min(n, start+limit)
+			}
+			if want := figure1Rows[start:end]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("Rows(%d, %d) = %v, want %v", offset, limit, got, want)
 			}
 		}
-	}
-}
-
-// RangeScan must follow the system-wide CompareValues total order on
-// mixed numeric/non-numeric values: the old split comparators (sort
-// lexicographic, search numeric-when-both-parse) made the binary search
-// non-monotonic and returned wrong row sets.
-func TestRangeScanMixedValuesTotalOrder(t *testing.T) {
-	col := NewColumnFromValues("V", []string{"10x", "9", "abc", "10", "2"})
-	// Integers sort first: [2 9 10], then [10x abc].
-	if got := col.RangeScan("10", "").Count(); got != 3 {
-		t.Fatalf("RangeScan(10,∞) = %d rows, want 3 (10, 10x, abc; 9 and 2 excluded)", got)
-	}
-	if got := col.RangeScan("", "9").Count(); got != 2 {
-		t.Fatalf("RangeScan(-∞,9) = %d rows, want 2 (2, 9)", got)
-	}
-	if got := col.RangeScan("10x", "abc").Count(); got != 2 {
-		t.Fatalf("RangeScan(10x,abc) = %d rows, want 2", got)
 	}
 }

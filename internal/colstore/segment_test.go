@@ -89,12 +89,12 @@ func TestSegmentedTableMatchesMonolithic(t *testing.T) {
 			t.Fatalf("Rows(%d,%d) differ", page[0], page[1])
 		}
 	}
-	// Row addressing across boundaries.
+	// One-row pages across boundaries.
 	for _, i := range []uint64{0, 49, 50, 59, 60, 179, 180, 199} {
-		a, _ := mono.Row(i)
-		b, _ := segd.Row(i)
+		a, _ := mono.Rows(i, 1)
+		b, _ := segd.Rows(i, 1)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("Row(%d) differ: %v vs %v", i, a, b)
+			t.Fatalf("Rows(%d, 1) differ: %v vs %v", i, a, b)
 		}
 	}
 	// Stitched whole-table columns: same values row by row, and the
@@ -130,10 +130,10 @@ func TestSegmentedTableMatchesMonolithic(t *testing.T) {
 		mask.Add(uint64(i))
 	}
 	mask.Extend(200)
-	mf, _ := mono.FilterRows("f", mask)
-	sf, _ := segd.FilterRows("f", mask)
+	mf, _ := mono.FilterRowsP("f", mask, 1)
+	sf, _ := segd.FilterRowsP("f", mask, 1)
 	if !reflect.DeepEqual(mf.SortedTuples(), sf.SortedTuples()) {
-		t.Fatal("FilterRows differ")
+		t.Fatal("FilterRowsP differ")
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // folds tails back so the count stays logarithmic. Whole-table column
 // views (Column, ColumnAt) are stitched lazily across segments with a
 // dictionary-id remap at each boundary and cached; hot paths that do not
-// need a global dictionary (EqBitmap, ScanWhereBitmap, FilterRows, Rows)
-// work per segment and never pay the stitch.
+// need a global dictionary (EqBitmap, ScanWhereBitmap, FilterRowsP, Rows,
+// Gather) work per segment and never pay the stitch.
 type Table struct {
 	name    string
 	schema  []string
@@ -426,19 +426,13 @@ func (t *Table) Project(name string, columns []string, key []string) (*Table, er
 	return newSegmented(name, append([]string(nil), columns...), key, segs)
 }
 
-// FilterRows returns a new table containing only the rows selected by
-// mask, applying the paper's bitmap filtering to every column. mask must
-// have the table's row count.
-func (t *Table) FilterRows(name string, mask *wah.Bitmap) (*Table, error) {
-	return t.FilterRowsP(name, mask, 1)
-}
-
-// FilterRowsP is FilterRows with bounded parallelism: the per-distinct-value
-// bitmap filtering — the dominant cost — fans out over a worker pool, one
-// task per value of each column. parallelism <= 0 means GOMAXPROCS. The
-// mask is sliced along segment boundaries and each segment filtered
-// independently; segments with no selected rows are dropped without any
-// data operation.
+// FilterRowsP returns a new table containing only the rows selected by
+// mask, which must have the table's row count, applying the paper's
+// bitmap filtering to every column. The per-distinct-value filtering —
+// the dominant cost — fans out over a worker pool, one task per value of
+// each column; parallelism <= 0 means GOMAXPROCS. The mask is sliced
+// along segment boundaries and each segment filtered independently;
+// segments with no selected rows are dropped without any data operation.
 func (t *Table) FilterRowsP(name string, mask *wah.Bitmap, parallelism int) (*Table, error) {
 	if mask.Len() != t.nrows {
 		return nil, fmt.Errorf("colstore: mask has %d bits, table %q has %d rows", mask.Len(), t.name, t.nrows)
@@ -458,33 +452,9 @@ func (t *Table) FilterRowsP(name string, mask *wah.Bitmap, parallelism int) (*Ta
 	return newSegmented(name, t.schema, t.key, segs)
 }
 
-// segmentAt returns the index of the segment containing global row i.
-func (t *Table) segmentAt(i uint64) int {
-	return sort.Search(len(t.offsets), func(k int) bool { return t.offsets[k] > i }) - 1
-}
-
-// Row materializes a single row as values in schema order. O(distinct)
-// per column; for bulk access use Rows or Column.RowIDs.
-func (t *Table) Row(i uint64) ([]string, error) {
-	if i >= t.nrows {
-		return nil, fmt.Errorf("colstore: row %d out of range in table %q (%d rows)", i, t.name, t.nrows)
-	}
-	si := t.segmentAt(i)
-	s, local := t.segs[si], i-t.offsets[si]
-	out := make([]string, len(s.cols))
-	for c, col := range s.cols {
-		v, err := col.ValueAt(local)
-		if err != nil {
-			return nil, err
-		}
-		out[c] = v
-	}
-	return out, nil
-}
-
 // Rows materializes up to limit rows starting at offset. A limit of 0
 // means all remaining rows. Only the segments overlapping the page are
-// decoded, so early pages cost O(page + first segments), not O(table).
+// gathered, so early pages cost O(page + first segments), not O(table).
 func (t *Table) Rows(offset, limit uint64) ([][]string, error) {
 	if offset > t.nrows {
 		offset = t.nrows
@@ -496,6 +466,7 @@ func (t *Table) Rows(offset, limit uint64) ([][]string, error) {
 		end = offset + limit
 	}
 	out := make([][]string, 0, end-offset)
+	all := t.allColumns()
 	for i, s := range t.segs {
 		segStart, segEnd := t.offsets[i], t.offsets[i]+s.nrows
 		if segEnd <= offset {
@@ -505,20 +476,44 @@ func (t *Table) Rows(offset, limit uint64) ([][]string, error) {
 			break
 		}
 		lo, hi := max(offset, segStart)-segStart, min(end, segEnd)-segStart
-		n := hi - lo
-		rows := make([][]string, n)
-		for r := range rows {
-			rows[r] = make([]string, len(s.cols))
+		positions := make([]uint64, hi-lo)
+		for r := range positions {
+			positions[r] = lo + uint64(r)
 		}
-		for c, col := range s.cols {
-			ids := col.RowIDRange(lo, hi)
-			for r := uint64(0); r < n; r++ {
-				rows[r][c] = col.dict.Value(ids[r])
-			}
-		}
-		out = append(out, rows...)
+		out = append(out, s.Gather(positions, all)...)
 	}
 	return out, nil
+}
+
+// Gather returns the rows, in schema order, at the given table-wide
+// positions, which must be strictly increasing and below NumRows: the
+// positions are split along segment boundaries and each run is decoded by
+// Segment.Gather. The rows are owned by the caller.
+func (t *Table) Gather(positions []uint64) [][]string {
+	out := make([][]string, 0, len(positions))
+	all := t.allColumns()
+	var local []uint64
+	for i, s := range t.segs {
+		local = local[:0]
+		for len(positions) > 0 && positions[0] < t.offsets[i]+s.nrows {
+			local = append(local, positions[0]-t.offsets[i])
+			positions = positions[1:]
+		}
+		if len(local) > 0 {
+			out = append(out, s.Gather(local, all)...)
+		}
+	}
+	return out
+}
+
+// allColumns returns every schema position in order, the projection of a
+// whole-row read.
+func (t *Table) allColumns() []int {
+	cols := make([]int, len(t.schema))
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
 }
 
 // SortedTuples materializes all rows and sorts them lexicographically,

@@ -140,8 +140,7 @@ func TestAddColumnDefaultAndDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := col.ValueAt(3)
-	if v != "USA" {
+	if v := col.Dict().Value(col.RowIDs()[3]); v != "USA" {
 		t.Fatalf("default=%q", v)
 	}
 	apply(t, e, "DROP COLUMN Country FROM R")

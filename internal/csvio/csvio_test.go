@@ -24,12 +24,12 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if tab.NumRows() != 3 || tab.NumColumns() != 3 {
 		t.Fatalf("shape: %v", tab)
 	}
-	row, err := tab.Row(2)
+	page, err := tab.Rows(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row[1] != "Comma, Inc." {
-		t.Fatalf("quoted field lost: %v", row)
+	if row := page[0]; row[1] != "Comma, Inc." {
+		t.Fatalf("quoted field lost: %v", page)
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, tab); err != nil {

@@ -560,17 +560,8 @@ func (o *Overlay) Update(column, value, condition string) (*Overlay, uint64, err
 	}
 	deleted := o.deleted
 	if hit.Any() {
-		// Materialize the matched base rows (bitmap filtering, the same
-		// primitive evolutions use), rewrite the column, re-append.
-		matched, err := o.base.FilterRowsP(o.Name(), hit, o.parallelism)
-		if err != nil {
-			return nil, 0, err
-		}
-		rows, err := matched.Rows(0, 0)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, row := range rows {
+		// Gather the matched base rows, rewrite the column, re-append.
+		for _, row := range o.base.Gather(hit.AppendPositionsTo(make([]uint64, 0, hit.Count()))) {
 			row[ci] = value
 			added = append(added, row)
 		}
@@ -670,21 +661,14 @@ func (o *Overlay) Count(pred expr.Node) (uint64, error) {
 }
 
 // Query returns the merged rows satisfying pred (nil = all): base
-// matches via bitmap filtering (deleted rows masked out), then matching
-// appended rows in insertion order.
+// matches (deleted rows masked out) gathered at their positions, then
+// matching appended rows in insertion order.
 func (o *Overlay) Query(pred expr.Node) ([][]string, error) {
 	live, err := o.liveBaseMatches(pred)
 	if err != nil {
 		return nil, err
 	}
-	filtered, err := o.base.FilterRowsP(o.Name(), live, o.parallelism)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := filtered.Rows(0, 0)
-	if err != nil {
-		return nil, err
-	}
+	rows := o.base.Gather(live.AppendPositionsTo(make([]uint64, 0, live.Count())))
 	addedHit, err := o.matchAdded(pred)
 	if err != nil {
 		return nil, err
@@ -701,9 +685,8 @@ func (o *Overlay) Query(pred expr.Node) ([][]string, error) {
 // remaining) without flushing: surviving base rows in base order, then
 // the appended tail in insertion order — the same order a flush
 // produces, so paging is stable across calls and across compaction.
-// With deletions, the requested page of base positions is turned into a
-// bitmap and served by the usual filter primitive; the whole-table
-// flush is reserved for Table.
+// With deletions, the requested page of live base positions is
+// gathered directly; the whole-table flush is reserved for Table.
 func (o *Overlay) Rows(offset, limit uint64) ([][]string, error) {
 	if !o.Dirty() {
 		return o.base.Rows(offset, limit)
@@ -758,17 +741,7 @@ func (o *Overlay) Rows(offset, limit uint64) ([][]string, error) {
 				}
 				return true
 			})
-			mask, err := wah.FromPositions(positions, o.base.NumRows())
-			if err != nil {
-				return nil, err
-			}
-			page, err := o.base.FilterRowsP(o.Name(), mask, o.parallelism)
-			if err != nil {
-				return nil, err
-			}
-			if out, err = page.Rows(0, 0); err != nil {
-				return nil, err
-			}
+			out = o.base.Gather(positions)
 		}
 	}
 	if end > nLive {

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"cods/internal/colstore"
 )
 
 func TestMergeGeneralCompositeJoin(t *testing.T) {
@@ -59,29 +57,10 @@ func TestMergeAutoSelectsGeneralForComposite(t *testing.T) {
 	}
 }
 
-// rleTable builds a table whose columns are RLE encoded, to verify the
-// evolution algorithms accept the alternate encoding (§2.2: RLE for
-// sorted columns) by converting on demand.
-func rleTable(t *testing.T, name string, columns []string, rows [][]string) *colstore.Table {
-	t.Helper()
-	cols := make([]*colstore.Column, len(columns))
-	for c := range columns {
-		vals := make([]string, len(rows))
-		for r := range rows {
-			vals[r] = rows[r][c]
-		}
-		cols[c] = colstore.NewRLEColumn(columns[c], vals)
-	}
-	tab, err := colstore.NewTable(name, cols, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tab
-}
-
-func TestDecomposeRLEInput(t *testing.T) {
+// TestDecomposeSortedInput decomposes a table sorted by its key, whose
+// bitmaps are runs of consecutive rows.
+func TestDecomposeSortedInput(t *testing.T) {
 	rows := [][]string{
-		// Sorted by K: the RLE-friendly shape.
 		{"k1", "b1", "c1"},
 		{"k1", "b2", "c1"},
 		{"k1", "b3", "c1"},
@@ -89,11 +68,7 @@ func TestDecomposeRLEInput(t *testing.T) {
 		{"k2", "b4", "c2"},
 		{"k3", "b1", "c3"},
 	}
-	r := rleTable(t, "R", []string{"K", "B", "C"}, rows)
-	kcol, _ := r.Column("K")
-	if kcol.Encoding() != colstore.EncodingRLE {
-		t.Fatal("test setup: K not RLE")
-	}
+	r := buildTable(t, "R", []string{"K", "B", "C"}, nil, rows)
 	res, err := Decompose(r, DecomposeSpec{
 		OutS: "S", SColumns: []string{"K", "B"},
 		OutT: "T", TColumns: []string{"K", "C"},
@@ -107,14 +82,16 @@ func TestDecomposeRLEInput(t *testing.T) {
 	want := buildTable(t, "W", []string{"K", "C"}, nil, [][]string{
 		{"k1", "c1"}, {"k2", "c2"}, {"k3", "c3"},
 	})
-	assertSameTuples(t, res.T, want, "RLE decompose")
+	assertSameTuples(t, res.T, want, "sorted decompose")
 }
 
-func TestMergeKeyFKRLEInput(t *testing.T) {
-	s := rleTable(t, "S", []string{"K", "B"}, [][]string{
+// TestMergeKeyFKSortedInput merges key-sorted inputs, whose bitmaps are
+// runs of consecutive rows.
+func TestMergeKeyFKSortedInput(t *testing.T) {
+	s := buildTable(t, "S", []string{"K", "B"}, nil, [][]string{
 		{"k1", "b1"}, {"k1", "b2"}, {"k2", "b3"},
 	})
-	dim := rleTable(t, "T", []string{"K", "C"}, [][]string{
+	dim := buildTable(t, "T", []string{"K", "C"}, nil, [][]string{
 		{"k1", "c1"}, {"k2", "c2"},
 	})
 	res, err := MergeKeyFK(s, dim, "R", Options{})
@@ -124,7 +101,7 @@ func TestMergeKeyFKRLEInput(t *testing.T) {
 	want := buildTable(t, "W", []string{"K", "B", "C"}, nil, [][]string{
 		{"k1", "b1", "c1"}, {"k1", "b2", "c1"}, {"k2", "b3", "c2"},
 	})
-	assertSameTuples(t, res.Table, want, "RLE merge")
+	assertSameTuples(t, res.Table, want, "sorted merge")
 }
 
 func TestDecomposeKeyColumnSharesDictionary(t *testing.T) {

@@ -513,8 +513,7 @@ func TestAddDropColumn(t *testing.T) {
 	if col.DistinctCount() != 1 {
 		t.Fatalf("default column distinct=%d", col.DistinctCount())
 	}
-	v, _ := col.ValueAt(6)
-	if v != "USA" {
+	if v := col.Dict().Value(col.RowIDs()[6]); v != "USA" {
 		t.Fatalf("default value=%q", v)
 	}
 

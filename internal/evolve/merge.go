@@ -166,15 +166,14 @@ func localFactGroups(fs *colstore.Segment, factName, dimName string, common []st
 		if err != nil {
 			return nil, err
 		}
-		fk := factKey.ToBitmapEncoding()
-		groups := make([]factGroup, fk.DistinctCount())
-		for id := 0; id < fk.DistinctCount(); id++ {
-			value := fk.Dict().Value(uint32(id))
+		groups := make([]factGroup, factKey.DistinctCount())
+		for id := 0; id < factKey.DistinctCount(); id++ {
+			value := factKey.Dict().Value(uint32(id))
 			dimRow, ok := dimIndex[value+"\x00"]
 			if !ok {
 				return nil, fmt.Errorf("evolve: foreign-key violation: %s value %q of %s has no match in %s", common[0], value, factName, dimName)
 			}
-			groups[id] = factGroup{factBitmap: fk.BitmapForID(uint32(id)), dimRow: dimRow}
+			groups[id] = factGroup{factBitmap: factKey.BitmapForID(uint32(id)), dimRow: dimRow}
 		}
 		return groups, nil
 	}

@@ -112,6 +112,39 @@ func TestCompareTotalOrder(t *testing.T) {
 	}
 }
 
+// Range predicates on the bitmap index must follow the Compare total
+// order on mixed integer and non-integer values: split comparators
+// (lexicographic for some pairs, numeric for others) are not monotonic
+// there and select wrong row sets.
+func TestRangePredicatesMixedValuesTotalOrder(t *testing.T) {
+	tb, err := colstore.NewTableBuilder("T", []string{"V"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"10x", "9", "abc", "10", "2"} {
+		if err := tb.AppendRow([]string{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, err := tb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Integers sort first: [2 9 10], then [10x abc].
+	for _, c := range []struct {
+		pred string
+		want uint64
+	}{
+		{"V >= '10'", 3},                 // 10, 10x, abc; 9 and 2 excluded
+		{"V <= '9'", 2},                  // 2, 9
+		{"V >= '10x' AND V <= 'abc'", 2}, // 10x, abc
+	} {
+		if got := evalCount(t, tab, c.pred); got != c.want {
+			t.Errorf("%s: %d rows, want %d", c.pred, got, c.want)
+		}
+	}
+}
+
 func TestEvalRowMatchesBitmapEval(t *testing.T) {
 	tab := sampleTable(t)
 	rows, err := tab.Rows(0, 0)

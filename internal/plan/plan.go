@@ -56,7 +56,8 @@ type Query struct {
 	OrderBy string
 	// Desc reverses the order.
 	Desc bool
-	// Limit caps the number of output rows; 0 means no limit.
+	// Limit caps the number of output rows; 0 means no limit and a
+	// negative limit is an error.
 	Limit int
 	// Parallelism bounds per-distinct-value fan-out; 0 means GOMAXPROCS.
 	Parallelism int
@@ -77,6 +78,9 @@ type Resolver func(name string) (*colstore.Table, error)
 // Run plans and executes q. cache may be nil (plans are then derived
 // from scratch each time).
 func Run(resolve Resolver, q Query, cache *Cache) (*colquery.ResultSet, error) {
+	if q.Limit < 0 {
+		return nil, fmt.Errorf("plan: row limit %d is negative", q.Limit)
+	}
 	if len(q.Joins) == 0 {
 		t, err := resolve(q.From)
 		if err != nil {

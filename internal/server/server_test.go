@@ -127,6 +127,9 @@ func TestQueryErrors(t *testing.T) {
 		{"bad where", QueryRequest{Table: "emp", Where: "Skill ="}, http.StatusBadRequest},
 		{"bad aggregate", QueryRequest{Table: "emp", Aggregates: []AggSpec{{Func: "median"}}}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"table": "emp", "nonsense": 1}, http.StatusBadRequest},
+		{"negative limit", map[string]any{"table": "emp", "limit": -1}, http.StatusBadRequest},
+		{"negative limit on a join", map[string]any{"table": "emp", "limit": -1,
+			"joins": []map[string]any{{"table": "emp", "on": []string{"Employee"}}}}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, raw := postJSON(t, ts.URL+"/query", c.req)

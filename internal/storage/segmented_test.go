@@ -109,12 +109,12 @@ func TestLoadFlatFormatCompat(t *testing.T) {
 	if len(tables) != 1 || tables[0].NumSegments() != 1 || tables[0].NumRows() != 3 {
 		t.Fatalf("flat load: %v", tables)
 	}
-	row, err := tables[0].Row(2)
+	page, err := tables[0].Rows(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(row, []string{"x", "3"}) {
-		t.Fatalf("row = %v", row)
+	if !reflect.DeepEqual(page, [][]string{{"x", "3"}}) {
+		t.Fatalf("row 2 = %v", page)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cods/internal/colstore"
@@ -51,31 +52,36 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadPreservesRLEColumns(t *testing.T) {
+// TestLoadRejectsUnknownColumnEncoding checks that a column file whose
+// encoding byte (right after the 8-byte magic) is not 0, the bitmap
+// encoding, fails to load instead of being read as bitmaps.
+func TestLoadRejectsUnknownColumnEncoding(t *testing.T) {
 	dir := t.TempDir()
-	sorted := colstore.NewRLEColumn("S", []string{"a", "a", "b", "b", "b", "c"})
-	other := colstore.NewColumnFromValues("V", []string{"1", "2", "3", "4", "5", "6"})
-	tab, err := colstore.NewTable("T", []*colstore.Column{sorted, other}, nil)
+	col := colstore.NewColumnFromValues("S", []string{"a", "a", "b", "b", "b", "c"})
+	tab, err := colstore.NewTable("T", []*colstore.Column{col}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Save(dir, []*colstore.Table{tab}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(dir)
+	if _, err := Load(dir); err != nil {
+		t.Fatalf("load before corruption: %v", err)
+	}
+	path := filepath.Join(dir, "T", "seg-0000", "0.col")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := loaded[0].Column("S")
-	if err != nil {
+	if data[8] != 0 {
+		t.Fatalf("encoding byte written as %d, want 0", data[8])
+	}
+	data[8] = 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if col.Encoding() != colstore.EncodingRLE {
-		t.Fatalf("encoding=%v, RLE not preserved", col.Encoding())
-	}
-	v, _ := col.ValueAt(4)
-	if v != "b" {
-		t.Fatalf("row 4 = %q", v)
+	if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "encoding") {
+		t.Fatalf("load with encoding byte 1: err = %v, want an unknown-encoding error", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wah
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -132,12 +133,16 @@ func FuzzOrAllP(f *testing.F) {
 }
 
 // FuzzRunsDecode drives the run-skipping decoder paths: Runs must tile
-// [0, Len) with alternating runs matching the reference, and the derived
-// accessors (Ones, Count, Slice, Concat round trip) must agree.
+// [0, Len) with alternating runs matching the reference, the derived
+// accessors (Ones, AppendPositionsTo, Count, Slice, Concat round trip)
+// must agree, and the galloping Probe and FilterPositions must read the
+// reference's bits at increasing positions derived from the input.
 func FuzzRunsDecode(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0xff, 0x40, 0x80, 0x00}, uint16(3))
 	f.Add([]byte{0x7f, 0x7f, 0xc3, 0x03, 0x83}, uint16(40))
+	// Probe gallops over two zero fills onto the only set bits.
+	f.Add([]byte("07\xff"), uint16(73))
 	f.Fuzz(func(t *testing.T, data []byte, cut16 uint16) {
 		bm, ref := bitmapFromBytes(data)
 		if err := bm.Validate(); err != nil {
@@ -189,6 +194,9 @@ func FuzzRunsDecode(f *testing.F) {
 		if idx != len(onesRef) {
 			t.Fatalf("Ones yielded %d positions, want %d", idx, len(onesRef))
 		}
+		if got := bm.AppendPositionsTo(nil); len(got) != len(onesRef) || (len(got) > 0 && !reflect.DeepEqual(got, onesRef)) {
+			t.Fatalf("AppendPositionsTo = %v, want %v", got, onesRef)
+		}
 		// Slice + Concat reproduce the original at an arbitrary cut.
 		var cut uint64
 		if bm.Len() > 0 {
@@ -201,5 +209,47 @@ func FuzzRunsDecode(f *testing.F) {
 		if !Equal(joined, bm) {
 			t.Fatalf("slice at %d + concat != original", cut)
 		}
+		// Probe reads a contiguous window arithmetically and any other
+		// list from memory; check both shapes.
+		window := make([]uint64, int(cut16>>8)%70+1)
+		for i := range window {
+			window[i] = cut + uint64(i)
+		}
+		for _, positions := range [][]uint64{positionsFromBytes(data, cut16, uint64(len(ref))), window} {
+			want := make([]bool, len(positions))
+			var wantHits []int
+			for i, p := range positions {
+				if p < uint64(len(ref)) && ref[p] {
+					want[i] = true
+					wantHits = append(wantHits, i)
+				}
+			}
+			var hits []int
+			bm.Probe(positions, func(i int) { hits = append(hits, i) })
+			if !reflect.DeepEqual(hits, wantHits) {
+				t.Fatalf("Probe at %v: hits %v, want %v", positions, hits, wantHits)
+			}
+			checkAgainstRef(t, "filterpositions", FilterPositions(bm, positions), want)
+		}
 	})
+}
+
+// positionsFromBytes derives a strictly increasing position list from a
+// fuzz input: each byte picks a step among moves inside one 31-bit group
+// (contiguous runs included) and jumps across whole groups, starting at
+// an offset taken from seed and running up to a group past n, so
+// positions beyond the bitmap's length are covered too.
+func positionsFromBytes(data []byte, seed uint16, n uint64) []uint64 {
+	steps := [...]uint64{1, 1, 1, 2, 3, 7, 31, 40, 93, 250}
+	var out []uint64
+	p := uint64(seed % 97)
+	for i := 0; p < n+GroupBits && len(out) < 4*len(data)+8; i++ {
+		out = append(out, p)
+		var by byte
+		if len(data) > 0 {
+			by = data[i%len(data)] ^ byte(i/len(data))
+		}
+		p += steps[int(by^byte(seed>>8))%len(steps)]
+	}
+	return out
 }

@@ -2,7 +2,6 @@ package wah
 
 import (
 	"math/bits"
-	"sort"
 
 	"cods/internal/par"
 )
@@ -305,26 +304,129 @@ func Filter(b, mask *Bitmap) *Bitmap {
 // FilterPositions is the position-list form of bitmap filtering (§2.4:
 // "we shrink their bitmap in R by only taking the bits specified in the
 // position list"): it returns a bitmap of length len(positions) whose i-th
-// bit is b's bit at positions[i]. positions must be sorted ascending.
-//
-// The implementation merges b's one-runs against the position list with a
-// galloping search, so the cost is O(runs(b)·log d + matches) rather than
-// O(v·r) across a column's values — this is what keeps decomposition flat
-// as the distinct count grows.
+// bit is b's bit at positions[i]. positions must be strictly increasing.
+// It is Probe with the hits appended, so its cost is Probe's.
 func FilterPositions(b *Bitmap, positions []uint64) *Bitmap {
 	out := New()
-	lo := 0
-	b.Runs(func(start, length uint64) bool {
-		rest := positions[lo:]
-		lo += sort.Search(len(rest), func(k int) bool { return rest[k] >= start })
-		for lo < len(positions) && positions[lo] < start+length {
-			out.Add(uint64(lo))
-			lo++
-		}
-		return lo < len(positions)
-	})
+	b.Probe(positions, func(i int) { out.Add(uint64(i)) })
 	out.Extend(uint64(len(positions)))
 	return out
+}
+
+// Probe calls hit(i), in increasing i, for every index i whose position
+// positions[i] is set in b; positions at or beyond Len read as zero.
+// positions must be strictly increasing. The position list is galloped
+// over zero fills and toward the next set bit of a literal, so the cost
+// is O(compressed words + hits) up to a logarithmic factor per skip, not
+// O(len(positions)) — what lets a row gather probe every value bitmap of
+// a column at a handful of positions.
+func (b *Bitmap) Probe(positions []uint64, hit func(i int)) {
+	if len(positions) == 0 {
+		return
+	}
+	c := newCursor(positions)
+	lo := 0
+	var base uint64
+	for _, w := range b.words {
+		if lo = c.seek(lo, base); lo == c.n {
+			return
+		}
+		if w&fillFlag == 0 {
+			lo = c.probeLiteral(lo, base, w, hit)
+			base += GroupBits
+			continue
+		}
+		end := base + uint64(w&fillCountMask)*GroupBits
+		if w&fillValueBit != 0 {
+			for ; lo < c.n && c.at(lo) < end; lo++ {
+				hit(lo)
+			}
+		}
+		base = end
+	}
+	if b.nactive > 0 {
+		// Bits of the active word above nactive are zero, so positions
+		// past Len never hit.
+		c.probeLiteral(c.seek(lo, base), base, b.active, hit)
+	}
+}
+
+// cursor reads a strictly increasing position list for Probe. A list
+// that is one contiguous run (a page, a full scan) is read by arithmetic
+// instead of from memory: a probe jumps around the list once per set bit,
+// and on a long list every such jump would otherwise be a cache miss.
+type cursor struct {
+	positions []uint64
+	n         int
+	first     uint64
+	run       bool // positions[i] == first+i for every i
+}
+
+func newCursor(positions []uint64) cursor {
+	n := len(positions)
+	return cursor{positions: positions, n: n, first: positions[0], run: positions[n-1]-positions[0] == uint64(n-1)}
+}
+
+func (c *cursor) at(i int) uint64 {
+	if c.run {
+		return c.first + uint64(i)
+	}
+	return c.positions[i]
+}
+
+// probeLiteral reports the positions from lo on that fall on a set bit of
+// the group w starting at bit base, and returns the index of the first
+// position it did not consume. c.at(lo) >= base must hold. Each step
+// either reports a hit or jumps to the next set bit, so a literal costs
+// O(min(set bits, positions in the group)) seeks plus its hits.
+func (c *cursor) probeLiteral(lo int, base uint64, w uint32, hit func(i int)) int {
+	for w != 0 && lo < c.n && c.at(lo) < base+GroupBits {
+		off := uint32(c.at(lo) - base)
+		w &^= uint32(1)<<off - 1
+		switch next := uint32(bits.TrailingZeros32(w)); {
+		case w == 0:
+		case next == off:
+			hit(lo)
+			lo++
+		default:
+			lo = c.seek(lo, base+uint64(next))
+		}
+	}
+	return lo
+}
+
+// seek returns the smallest index i >= lo with c.at(i) >= target, or c.n
+// when there is none, galloping (doubling steps, then a binary search)
+// so that skipping k positions costs O(log k).
+func (c *cursor) seek(lo int, target uint64) int {
+	if lo >= c.n || c.at(lo) >= target {
+		return lo
+	}
+	// Strictly increasing positions put the answer at most
+	// target-c.at(lo) places ahead, and exactly there on a run.
+	ub := c.n
+	if d := target - c.at(lo); d < uint64(c.n-lo) {
+		ub = lo + int(d)
+	}
+	if c.run || c.at(ub-1) < target {
+		return ub
+	}
+	// Invariant: c.at(lo) < target, and hi is ub or c.at(hi) >= target.
+	step := 1
+	for lo+step < ub && c.at(lo+step) < target {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, ub)
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if c.at(mid) < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // Concat appends the entire contents of other after the current end of b,
@@ -489,11 +591,31 @@ func (b *Bitmap) Slice(start, end uint64) *Bitmap {
 }
 
 // AppendPositionsTo appends all set bit positions to dst and returns the
-// extended slice.
+// extended slice. It walks the words itself rather than through Ones, so
+// a one fill (a whole-table selection) appends without a call per bit.
 func (b *Bitmap) AppendPositionsTo(dst []uint64) []uint64 {
-	b.Ones(func(p uint64) bool {
-		dst = append(dst, p)
-		return true
-	})
+	var base uint64
+	for _, w := range b.words {
+		n := uint64(GroupBits)
+		switch {
+		case w&fillFlag == 0:
+			dst = appendLiteralPositions(dst, base, w)
+		case w&fillValueBit != 0:
+			n = uint64(w&fillCountMask) * GroupBits
+			for p := base; p < base+n; p++ {
+				dst = append(dst, p)
+			}
+		default:
+			n = uint64(w&fillCountMask) * GroupBits
+		}
+		base += n
+	}
+	return appendLiteralPositions(dst, base, b.active)
+}
+
+func appendLiteralPositions(dst []uint64, base uint64, w uint32) []uint64 {
+	for ; w != 0; w &= w - 1 {
+		dst = append(dst, base+uint64(bits.TrailingZeros32(w)))
+	}
 	return dst
 }

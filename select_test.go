@@ -280,3 +280,28 @@ func TestSelectErrorClassification(t *testing.T) {
 		t.Error("bad ON column accepted")
 	}
 }
+
+// TestRunQueryRejectsNegativeLimit: a negative limit is an error on the
+// single-table and the join path alike, as "LIMIT -1" is in SELECT text,
+// instead of being read as "no limit".
+func TestRunQueryRejectsNegativeLimit(t *testing.T) {
+	db := cods.Open(cods.Config{})
+	if err := db.CreateTableFromRows("t", []string{"K", "V"}, nil, [][]string{{"a", "1"}, {"b", "2"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []cods.TableQuery{
+		{Limit: -1},
+		{Limit: -1, Joins: []cods.Join{{Table: "t", On: []string{"K"}}}},
+	} {
+		if rs, err := db.RunQuery("t", q); err == nil {
+			t.Errorf("RunQuery(%+v) = %d rows, want an error", q, len(rs.Rows))
+		}
+	}
+	if _, err := db.Select("SELECT * FROM t LIMIT -1"); err == nil {
+		t.Error("SELECT ... LIMIT -1 accepted")
+	}
+	rs, err := db.RunQuery("t", cods.TableQuery{})
+	if err != nil || len(rs.Rows) != 2 {
+		t.Fatalf("limit 0 (no limit): rows = %v, err = %v", rs, err)
+	}
+}
